@@ -229,7 +229,9 @@ class _BackendLink:
         self.payload = "json"
         self.server_max_frame_bytes = 0
         self._wire = framing
-        self._decoder = FrameDecoder(framing, max_frame_bytes)
+        # Relay decoding: worker payload frames come back header-only
+        # (packed payload, blob never inflated) and are forwarded as is.
+        self._decoder = FrameDecoder(framing, max_frame_bytes, relay=True)
         self._pending: deque = deque()
         self._reader: asyncio.StreamReader | None = None
         self._writer: asyncio.StreamWriter | None = None
@@ -525,12 +527,12 @@ class TileServiceRouter:
                         )
                         await writer.drain()
                     break
-                out = bytearray()
+                out: list[bytes] = []
                 fatal = False
                 for frame in frames:
                     messages, fatal = await self._dispatch(frame, state)
                     for message in messages:
-                        out += self._encode_out(message, state)
+                        out.append(self._encode_out(message, state))
                     if state.payload_pending:
                         # The welcome granting "binary" went out in the
                         # pre-handshake framing; every frame after it —
@@ -542,7 +544,7 @@ class TileServiceRouter:
                         break
                 if out:
                     try:
-                        writer.write(bytes(out))
+                        writer.writelines(out)
                         await writer.drain()
                     except (ConnectionError, OSError):
                         break

@@ -401,18 +401,18 @@ class ForeCacheSocketServer:
                     await self._send(writer, ErrorInfo.from_exception(exc), conn)
                     break
                 # Everything this read-batch produces — push frames and
-                # replies across every completed frame — coalesces into
-                # one buffer and leaves in a single write+drain (the
+                # replies across every completed frame — is collected
+                # and leaves in a single writelines+drain (the
                 # writev-style batching that keeps small frames from
-                # paying a syscall each).
-                out = bytearray()
+                # paying a syscall each, without re-copying them).
+                out: list[bytes] = []
                 fatal = False
                 for item in frames:
                     messages, fatal = await self._dispatch(item, conn)
                     # Push frames (if any) precede the reply — the last
                     # message is always the frame's actual answer.
                     for message in messages:
-                        out += self._encode_out(message, conn)
+                        out.append(self._encode_out(message, conn))
                     if conn.payload_pending:
                         # The welcome granting "binary" was just encoded
                         # under the pre-handshake framing; every frame
@@ -424,7 +424,7 @@ class ForeCacheSocketServer:
                         break
                 if out:
                     try:
-                        writer.write(bytes(out))
+                        writer.writelines(out)
                         await writer.drain()
                     except (ConnectionError, OSError):
                         break  # client vanished mid-write
@@ -446,8 +446,8 @@ class ForeCacheSocketServer:
         """Encode one outgoing message (or pass through pre-encoded
         bytes — push frames are encoded once, where their byte size is
         charged against the push budget)."""
-        if isinstance(message, (bytes, bytearray)):
-            return bytes(message)
+        if isinstance(message, bytes):
+            return message
         framing = self._wire_framing(conn)
         try:
             return encode_wire(message, framing, self.max_frame_bytes)

@@ -43,6 +43,14 @@ wins — the dominant NDSI blocks compress far below their JSON form).
 :func:`encode_wire` / :func:`decode_wire` pick the right form per
 message; declining peers keep the byte-identical JSON protocol.
 
+A tile's descriptor and blob are packed once (:class:`PackedPayload`,
+memoized per ``DataTile`` object by :meth:`TilePayload.from_tile`), and
+every message carrying that tile splices the same bytes behind its own
+small JSON header.  A relay reads worker frames through a
+``FrameDecoder(relay=True)``: it validates header and descriptor only
+and forwards the packed bytes unchanged, leaving the bounded inflate to
+whoever builds the arrays.
+
 All ``from_dict`` constructors tolerate unknown fields (they extract
 the fields they know and ignore the rest), so a newer peer can add
 fields without breaking an older one.
@@ -260,6 +268,11 @@ class AttributeBlock:
         )
 
 
+#: Attribute under which :meth:`TilePayload.from_tile` memoizes a tile's
+#: binary payload on the ``DataTile`` object itself.
+_PAYLOAD_MEMO = "_binary_wire_payload"
+
+
 @dataclass(frozen=True)
 class TilePayload:
     """A full tile on the wire: its address plus every attribute block."""
@@ -270,14 +283,39 @@ class TilePayload:
     @classmethod
     def from_tile(cls, tile: DataTile, *, binary: bool = False) -> "TilePayload":
         """Build the wire form; ``binary=True`` keeps the arrays as
-        arrays (no per-scalar ``tolist()``) for the binary encoder."""
-        return cls(
+        arrays (no per-scalar ``tolist()``) for the binary encoder.
+
+        Binary payloads are memoized on the tile *object* (never by
+        its key): a cached tile served a thousand times is flattened and
+        deflated once (see :attr:`packed`), and the memo dies with the
+        tile.  A degraded carve, a coarse push frame, or a re-fetch
+        after eviction is a different object with its own memo, even
+        when it shares the resident tile's key.
+        """
+        if binary:
+            memo = vars(tile).get(_PAYLOAD_MEMO)
+            if memo is not None:
+                return memo
+        payload = cls(
             tile=TileRef.from_key(tile.key),
             attributes=tuple(
                 AttributeBlock.from_array(name, array, binary=binary)
                 for name, array in sorted(tile.attributes.items())
             ),
         )
+        if binary:
+            # setdefault: concurrent first encodes agree on one memo.
+            payload = vars(tile).setdefault(_PAYLOAD_MEMO, payload)
+        return payload
+
+    @property
+    def packed(self) -> "PackedPayload":
+        """This payload's binary wire form, packed on first use and
+        memoized on this payload object."""
+        packed = vars(self).get("_packed")
+        if packed is None:
+            packed = vars(self).setdefault("_packed", _pack_payload(self))
+        return packed
 
     def to_tile(self) -> DataTile:
         return DataTile(
@@ -301,6 +339,34 @@ class TilePayload:
                 AttributeBlock.from_dict(block) for block in data["attributes"]
             ),
         )
+
+
+@dataclass(frozen=True, eq=False)
+class PackedPayload:
+    """A tile payload in its binary wire form: the descriptor's JSON
+    text and the packed attribute blob.
+
+    The binary encoder splices these bytes behind each message's own
+    header.  A server gets them from :attr:`TilePayload.packed`; a relay
+    gets them straight off a worker's frame (:class:`RelayedBody`), with
+    the header and descriptor validated but the blob never inflated, so
+    the bytes it forwards are the bytes it received.  Re-encoding for a
+    JSON peer goes through :meth:`unpack`, the full bounded-inflate
+    decode.
+    """
+
+    tile: TileRef
+    descriptor: str
+    blob: bytes | memoryview = field(repr=False)
+
+    def unpack(self) -> TilePayload:
+        """Inflate and validate the blob into a full array payload."""
+        return _decode_binary_payload(
+            json.loads(self.descriptor), memoryview(self.blob)
+        )
+
+    def to_dict(self) -> dict:
+        return self.unpack().to_dict()
 
 
 # ----------------------------------------------------------------------
@@ -376,7 +442,7 @@ class TileResponse:
     hit: bool
     phase: str | None = None
     prefetched: tuple[TileRef, ...] = field(default_factory=tuple)
-    payload: TilePayload | None = None
+    payload: TilePayload | PackedPayload | None = None
     fidelity: float = 1.0
 
     @classmethod
@@ -462,7 +528,7 @@ class PushTile:
     generation: int
     #: The scheduler's computed utility for this tile (diagnostic).
     utility: float
-    payload: TilePayload | None = None
+    payload: TilePayload | PackedPayload | None = None
     #: Linear resolution fraction of the carried payload (1.0 = full);
     #: omitted on the wire when full, so fidelity-off push streams are
     #: byte-identical to the pre-fidelity revision.
@@ -926,7 +992,7 @@ _COMPRESS_LEVEL = 1
 _COMPRESS_MIN_BYTES = 64
 
 
-def _payload_descriptor(payload: TilePayload) -> tuple[dict, bytes]:
+def _pack_payload(payload: TilePayload) -> PackedPayload:
     """Flatten a payload into its JSON descriptor and packed blob."""
     attrs = []
     views = []
@@ -953,7 +1019,14 @@ def _payload_descriptor(payload: TilePayload) -> tuple[dict, bytes]:
         "codec": codec,
         "attributes": attrs,
     }
-    return descriptor, blob
+    return PackedPayload(payload.tile, json.dumps(descriptor), blob)
+
+
+#: Where the payload sits in a binary header's JSON text: the message's
+#: own dict with ``payload`` set to None serializes this marker exactly
+#: once (JSON escapes every quote inside a string, so no field value can
+#: contain it), and the encoder splices the packed descriptor in its place.
+_PAYLOAD_SLOT = '"payload": null'
 
 
 def encode_binary_message(message) -> bytes:
@@ -964,6 +1037,9 @@ def encode_binary_message(message) -> bytes:
     compact descriptor (tile ref, blob codec, per-attribute dtype/shape/
     byte counts), and the blob is every attribute array's raw bytes
     concatenated in descriptor order, deflated when that is smaller.
+    Descriptor and blob come from the payload's :class:`PackedPayload`,
+    built once per payload, so only the message's own small fields are
+    serialized per call.
     """
     name = _TYPE_NAMES.get(type(message))
     if name not in _BINARY_MESSAGE_NAMES:
@@ -973,13 +1049,13 @@ def encode_binary_message(message) -> bytes:
     payload = message.payload
     if payload is None:
         raise TypeError("message carries no payload; encode it as JSON")
-    descriptor, blob = _payload_descriptor(payload)
-    header = {"type": name, **replace(message, payload=None).to_dict()}
-    header["payload"] = descriptor
-    header_bytes = json.dumps(header).encode("utf-8")
-    return b"".join(
-        (_LENGTH_HEADER.pack(len(header_bytes)), header_bytes, blob)
+    packed = payload if isinstance(payload, PackedPayload) else payload.packed
+    fields = replace(message, payload=None).to_dict()
+    head, _, tail = json.dumps({"type": name, **fields}).partition(
+        _PAYLOAD_SLOT
     )
+    header = f'{head}"payload": {packed.descriptor}{tail}'.encode("utf-8")
+    return b"".join((_LENGTH_HEADER.pack(len(header)), header, packed.blob))
 
 
 def _parse_attribute_specs(attrs) -> tuple[list, int]:
@@ -1061,7 +1137,9 @@ def _unpack_blob(codec, body: memoryview, total: int) -> "bytes | memoryview":
     raise InvalidRequestError(f"unknown binary payload codec {codec!r}")
 
 
-def _decode_binary_payload(descriptor, body: memoryview) -> TilePayload:
+def _parse_descriptor(descriptor) -> tuple[TileRef, object, list, int]:
+    """Validate a payload descriptor; return its tile, blob codec,
+    attribute specs and declared (inflated) blob size."""
     if not isinstance(descriptor, dict):
         raise InvalidRequestError("binary payload descriptor must be an object")
     try:
@@ -1073,6 +1151,11 @@ def _decode_binary_payload(descriptor, body: memoryview) -> TilePayload:
             f"malformed binary payload descriptor: {exc}"
         ) from None
     specs, total = _parse_attribute_specs(attrs)
+    return tile, codec, specs, total
+
+
+def _decode_binary_payload(descriptor, body: memoryview) -> TilePayload:
+    tile, codec, specs, total = _parse_descriptor(descriptor)
     buffer = _unpack_blob(codec, body, total)
     blocks = []
     offset = 0
@@ -1098,8 +1181,34 @@ def _decode_binary_payload(descriptor, body: memoryview) -> TilePayload:
     return TilePayload(tile=tile, attributes=tuple(blocks))
 
 
+def _relay_payload(descriptor, body: memoryview) -> PackedPayload:
+    """Keep a relayed payload packed: validate the descriptor (and a raw
+    blob's size) but never inflate the blob or build arrays."""
+    tile, codec, _, total = _parse_descriptor(descriptor)
+    if codec != "zlib":
+        # A raw blob's size check is free; an unknown codec is rejected.
+        _unpack_blob(codec, body, total)
+    return PackedPayload(tile, json.dumps(descriptor), body)
+
+
+class RelayedBody(bytes):
+    """A kind-1 frame body cut by a relaying :class:`FrameDecoder`.
+
+    :func:`decode_wire` reads only its header and payload descriptor and
+    hands the payload back as a :class:`PackedPayload`, so a relay can
+    forward tile bytes unchanged; the blob is inflated and checked where
+    arrays are built (the end client, or :meth:`PackedPayload.unpack`).
+    """
+
+    __slots__ = ()
+
+
 def decode_binary_message(data):
-    """Parse a binary body back into its payload-bearing message."""
+    """Parse a binary body back into its payload-bearing message.
+
+    A :class:`RelayedBody` keeps its payload packed; any other body is
+    decoded in full, arrays and all.
+    """
     view = memoryview(data)
     if view.ndim != 1 or view.format != "B":
         view = view.cast("B")
@@ -1136,7 +1245,10 @@ def decode_binary_message(data):
         raise InvalidRequestError(f"malformed {name} message: {exc}") from None
     if descriptor is None:
         return message
-    payload = _decode_binary_payload(descriptor, view[body_start:])
+    if isinstance(data, RelayedBody):
+        payload = _relay_payload(descriptor, view[body_start:])
+    else:
+        payload = _decode_binary_payload(descriptor, view[body_start:])
     return replace(message, payload=payload)
 
 
@@ -1177,7 +1289,8 @@ def decode_wire(frame):
 
     JSON framings yield ``str`` frames (dispatched to :func:`decode`);
     binary framing yields ``bytes`` for kind-1 frames (dispatched to
-    :func:`decode_binary_message`).
+    :func:`decode_binary_message`), or :class:`RelayedBody` from a
+    relaying decoder, whose payload stays packed.
     """
     if isinstance(frame, str):
         return decode(frame)
@@ -1198,13 +1311,16 @@ class FrameDecoder:
     the binary payload encoding) in ``"binary"`` framing: each frame is
     ``kind byte + u32 length + body``, where kind-0 bodies come back as
     decoded text and kind-1 bodies as raw ``bytes`` for
-    :func:`decode_binary_message`.
+    :func:`decode_binary_message` — or, with ``relay=True`` (a router's
+    worker links), as :class:`RelayedBody`, which decodes header-only.
     """
 
     def __init__(
         self,
         framing: str = "lines",
         max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
+        *,
+        relay: bool = False,
     ) -> None:
         if framing not in (*FRAMINGS, "binary"):
             raise ValueError(
@@ -1217,6 +1333,7 @@ class FrameDecoder:
             )
         self.framing = framing
         self.max_frame_bytes = max_frame_bytes
+        self._body_type = RelayedBody if relay else bytes
         self._buffer = bytearray()
         # Lines framing: everything before this offset is known to hold
         # no newline, so each feed scans only fresh bytes (keeps big
@@ -1332,10 +1449,10 @@ class FrameDecoder:
             end = _BINARY_FRAME_HEADER.size + length
             if len(self._buffer) < end:
                 return frames
-            payload = bytes(self._buffer[_BINARY_FRAME_HEADER.size : end])
+            payload = self._buffer[_BINARY_FRAME_HEADER.size : end]
             del self._buffer[:end]
             if kind == _FRAME_KIND_JSON:
                 frames.append(self._decode_text(payload))
             else:
-                frames.append(payload)
+                frames.append(self._body_type(payload))
         return frames

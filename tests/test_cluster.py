@@ -8,7 +8,9 @@ worker boot (dataset build + bind) stays cheap.
 
 from __future__ import annotations
 
+import json
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -27,8 +29,13 @@ from repro.middleware.cluster import (
 from repro.middleware.config import PrefetchPolicy, ServiceConfig
 from repro.middleware.net import SocketTransport, ThreadedSocketServer
 from repro.middleware.protocol import (
+    FrameTooLargeError,
     HotspotGossip,
+    PushTile,
+    TilePayload,
     WorkerUnavailableError,
+    decode,
+    decode_wire,
 )
 from repro.recommenders.momentum import MomentumRecommender
 from repro.tiles.key import TileKey
@@ -336,6 +343,207 @@ class TestRoutingAndFailover:
             client.close()
         finally:
             transport.close()
+
+
+# ----------------------------------------------------------------------
+# payload pass-through: the router forwards packed tile bytes
+# ----------------------------------------------------------------------
+_BINARY_FRAME = struct.Struct(">BI")
+
+
+def tap_worker_frames(monkeypatch, worker, rewrite=None) -> list[bytes]:
+    """Record every payload-bearing (kind-1) frame a worker writes.
+
+    The worker's serve loop writes exactly what ``_encode_out`` returns,
+    so this is its side of the wire; ``rewrite`` may replace a frame
+    before it leaves.
+    """
+    server = worker.server
+    original = server._encode_out
+    sent: list[bytes] = []
+
+    def encode_out(message, conn):
+        frame = original(message, conn)
+        if frame[:1] == b"\x01":
+            if rewrite is not None:
+                frame = rewrite(frame)
+            sent.append(frame)
+        return frame
+
+    monkeypatch.setattr(server, "_encode_out", encode_out)
+    return sent
+
+
+def kind1_frames(received: bytes) -> list[bytes]:
+    """Cut the payload-bearing frames out of a binary client's stream
+    (its welcome arrives first, in lines framing)."""
+    _, _, rest = received.partition(b"\n")
+    frames = []
+    while rest:
+        kind, length = _BINARY_FRAME.unpack_from(rest)
+        end = _BINARY_FRAME.size + length
+        if kind == 1:
+            frames.append(rest[:end])
+        rest = rest[end:]
+    return frames
+
+
+def rebuild_frame(frame: bytes, edit) -> bytes:
+    """Re-frame a kind-1 frame after ``edit(header_dict) -> header bytes``."""
+    body = frame[_BINARY_FRAME.size :]
+    (header_len,) = struct.unpack_from(">I", body)
+    header = json.loads(body[4 : 4 + header_len])
+    blob = body[4 + header_len :]
+    header_bytes = edit(header)
+    body = struct.pack(">I", len(header_bytes)) + header_bytes + blob
+    return _BINARY_FRAME.pack(1, len(body)) + body
+
+
+def assert_true_tile(pyramid, response, key) -> None:
+    assert response.tile.key == key
+    truth = pyramid.fetch_tile(key, charge=False)
+    # TilePayload equality compares dtype, shape and values, NaN == NaN.
+    assert TilePayload.from_tile(response.tile) == TilePayload.from_tile(truth)
+
+
+class TestPayloadPassThrough:
+    def test_binary_client_receives_the_workers_bytes(
+        self, tiny_dataset, monkeypatch
+    ):
+        grid = tiny_dataset.pyramid.grid
+        config = ServiceConfig(prefetch=PrefetchPolicy(push="on"))
+        with ThreadedClusterServer(
+            tiny_dataset.pyramid,
+            config,
+            workers=2,
+            engine_factory=lambda: make_engine(grid),
+        ) as cluster:
+            sent = [
+                tap_worker_frames(monkeypatch, worker)
+                for worker in cluster.workers
+            ]
+            with SocketTransport(
+                *cluster.address, payload="binary", push=True, wire_tap=True
+            ) as transport:
+                assert transport.payload == "binary"
+                client = transport.connect(session_id="pass-through")
+                for move, key in _snake_walk(grid, TileKey(0, 0, 0), 16):
+                    assert_true_tile(
+                        tiny_dataset.pyramid, client.request(move, key), key
+                    )
+                client.close()
+                received = kind1_frames(bytes(transport.wire_received))
+        forwarded = sent[0] + sent[1]
+        assert received
+        # Replies and push frames alike: byte for byte what the workers
+        # wrote, none re-encoded, none dropped.
+        assert sorted(received) == sorted(forwarded)
+        messages = [decode_wire(frame[5:]) for frame in received]
+        assert any(isinstance(message, PushTile) for message in messages)
+
+    def test_json_client_behind_binary_workers(
+        self, tiny_dataset, monkeypatch
+    ):
+        grid = tiny_dataset.pyramid.grid
+        with ThreadedClusterServer(
+            tiny_dataset.pyramid,
+            ServiceConfig(),
+            workers=2,
+            engine_factory=lambda: make_engine(grid),
+        ) as cluster:
+            sent = [
+                tap_worker_frames(monkeypatch, worker)
+                for worker in cluster.workers
+            ]
+            with SocketTransport(*cluster.address, wire_tap=True) as transport:
+                assert transport.payload == "json"
+                client = transport.connect(session_id="json-client")
+                for move, key in _snake_walk(grid, TileKey(0, 0, 0), 12):
+                    assert_true_tile(
+                        tiny_dataset.pyramid, client.request(move, key), key
+                    )
+                client.close()
+                received = bytes(transport.wire_received)
+        # The workers spoke binary to the router ...
+        assert sent[0] + sent[1]
+        # ... and the client got plain JSON lines carrying full payloads.
+        responses = [
+            decode(line)
+            for line in received.decode("utf-8").splitlines()
+            if '"tile_response"' in line
+        ]
+        assert len(responses) == 12
+        assert all(isinstance(r.payload, TilePayload) for r in responses)
+
+    def test_oversized_forwarded_frame_is_a_typed_reply(self, tiny_dataset):
+        grid = tiny_dataset.pyramid.grid
+        from repro.middleware.cluster import ThreadedRouter
+
+        worker = ThreadedSocketServer(
+            tiny_dataset.pyramid,
+            ServiceConfig(),
+            engine_factory=lambda: make_engine(grid),
+        )
+        router = None
+        try:
+            address = worker.start()
+            # A 32px tile's binary reply is ~8.7 KB: over the router's
+            # client-facing budget, though the worker's link allows it.
+            router = ThreadedRouter({"worker-0": address}, max_frame_bytes=4096)
+            host, port = router.start()
+            with SocketTransport(host, port, payload="binary") as transport:
+                client = transport.connect(session_id="too-big")
+                with pytest.raises(FrameTooLargeError):
+                    client.request(None, TileKey(0, 0, 0))
+                # Too big for this client is not a dead worker.
+                assert router.router.alive_workers == ("worker-0",)
+        finally:
+            if router is not None:
+                router.stop()
+            worker.stop()
+
+    @pytest.mark.parametrize("payload", ["binary", "json"])
+    @pytest.mark.parametrize("damage", ["header", "descriptor"])
+    def test_malformed_worker_frame_marks_the_worker_dead(
+        self, tiny_dataset, monkeypatch, payload, damage
+    ):
+        def break_header(header):
+            return b"{not json"
+
+        def break_descriptor(header):
+            header["payload"]["attributes"][0]["nbytes"] += 1
+            return json.dumps(header).encode("utf-8")
+
+        edit = break_header if damage == "header" else break_descriptor
+        grid = tiny_dataset.pyramid.grid
+        with ThreadedClusterServer(
+            tiny_dataset.pyramid,
+            ServiceConfig(),
+            workers=2,
+            engine_factory=lambda: make_engine(grid),
+        ) as cluster:
+            tap_worker_frames(
+                monkeypatch,
+                cluster.workers[0],
+                rewrite=lambda frame: rebuild_frame(frame, edit),
+            )
+            router = cluster.router.router
+            key = next(
+                k
+                for k in all_keys(grid, grid.deepest_level)
+                if router.ring.owner(k) == "worker-0"
+            )
+            with SocketTransport(*cluster.address, payload=payload) as transport:
+                assert transport.payload == payload
+                client = transport.connect(session_id="broken-worker")
+                with pytest.raises(WorkerUnavailableError):
+                    client.request(None, key)
+                assert router.alive_workers == ("worker-1",)
+                # The ring re-mapped the key: the retry is served whole.
+                assert_true_tile(
+                    tiny_dataset.pyramid, client.request(None, key), key
+                )
+                client.close()
 
 
 # ----------------------------------------------------------------------

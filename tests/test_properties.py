@@ -467,6 +467,132 @@ class TestBinaryFramingProperties:
 
 
 # ----------------------------------------------------------------------
+# encode-once binary payloads
+# ----------------------------------------------------------------------
+@st.composite
+def data_tiles(draw, key=None):
+    """Tiles of random dtypes and even shapes; floats include NaN and
+    infinities, and shapes reach past the deflate threshold."""
+    if key is None:
+        key = draw(tile_keys(max_level=3))
+    rows = draw(st.sampled_from([2, 4, 8]))
+    cols = draw(st.sampled_from([2, 4, 8]))
+    names = draw(
+        st.lists(
+            st.sampled_from(["avg", "count", "max", "min"]),
+            min_size=1,
+            max_size=3,
+            unique=True,
+        )
+    )
+    attributes = {}
+    for name in names:
+        dtype = np.dtype(draw(_BINARY_DTYPES))
+        if dtype.kind == "f":
+            cell = st.floats(width=32)
+        else:
+            cell = st.integers(0, 200)
+        values = draw(st.lists(cell, min_size=rows * cols, max_size=rows * cols))
+        attributes[name] = np.asarray(values, dtype=dtype).reshape(rows, cols)
+    return DataTile(key=key, attributes=attributes)
+
+
+def _binary_frame(payload) -> bytes:
+    response = protocol_module.TileResponse(
+        session_id="s1",
+        tile=payload.tile,
+        latency_seconds=0.0195,
+        hit=True,
+        payload=payload,
+    )
+    return protocol_module.encode_wire(response, "binary")
+
+
+def _fresh_frame(tile) -> bytes:
+    """The binary frame of ``tile`` packed from scratch: a JSON-form
+    payload is never memoized, so its packed bytes are built here."""
+    return _binary_frame(protocol_module.TilePayload.from_tile(tile))
+
+
+def _decoded_payload(frame: bytes, *, relay: bool = False):
+    decoder = protocol_module.FrameDecoder("binary", relay=relay)
+    (body,) = decoder.feed(frame)
+    return protocol_module.decode_wire(body).payload
+
+
+class TestEncodeOnceProperties:
+    """A tile's binary payload is packed once per tile *object*: the
+    memoized bytes equal a fresh encode, and no other tile — even one
+    with the same key — ever gets them."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(tile=data_tiles())
+    def test_memoized_encode_matches_fresh_encode(self, tile):
+        memo = protocol_module.TilePayload.from_tile(tile, binary=True)
+        assert protocol_module.TilePayload.from_tile(tile, binary=True) is memo
+        twin = DataTile(
+            key=tile.key,
+            attributes={n: a.copy() for n, a in tile.attributes.items()},
+        )
+        frame = _binary_frame(memo)
+        assert _binary_frame(memo) == frame
+        assert _binary_frame(
+            protocol_module.TilePayload.from_tile(twin, binary=True)
+        ) == frame
+        assert _fresh_frame(tile) == frame
+        # decode(encode(tile)) is the tile: names, dtypes, shapes and
+        # values (NaN compares equal to NaN here).
+        expected = protocol_module.TilePayload.from_tile(tile)
+        assert _decoded_payload(frame) == expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(tile=data_tiles())
+    def test_relay_forwards_packed_bytes_unchanged(self, tile):
+        frame = _binary_frame(
+            protocol_module.TilePayload.from_tile(tile, binary=True)
+        )
+        packed = _decoded_payload(frame, relay=True)
+        assert isinstance(packed, protocol_module.PackedPayload)
+        assert _binary_frame(packed) == frame
+        assert packed.unpack() == protocol_module.TilePayload.from_tile(tile)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), key=tile_keys(max_level=3).filter(lambda k: k.level))
+    def test_tiles_sharing_a_key_never_share_packed_bytes(self, data, key):
+        from repro.tiles.reduce import carve_from_ancestor, downsample_tile
+
+        resident = data.draw(data_tiles(key=key))
+        resident_frame = _binary_frame(
+            protocol_module.TilePayload.from_tile(resident, binary=True)
+        )
+        parent = data.draw(data_tiles(key=key.parent))
+        stand_ins = {
+            "coarse push frame": downsample_tile(resident, 2),
+            "degraded ancestor carve": carve_from_ancestor(parent, key),
+            "re-fetch after eviction": DataTile(
+                key=key,
+                attributes={
+                    n: a.copy() for n, a in resident.attributes.items()
+                },
+            ),
+            "other content": data.draw(data_tiles(key=key)),
+        }
+        memo = protocol_module.TilePayload.from_tile(resident, binary=True)
+        for label, tile in stand_ins.items():
+            assert tile.key == resident.key, label
+            payload = protocol_module.TilePayload.from_tile(tile, binary=True)
+            assert payload is not memo, label
+            frame = _binary_frame(payload)
+            assert frame == _fresh_frame(tile), label
+            assert _decoded_payload(frame) == (
+                protocol_module.TilePayload.from_tile(tile)
+            ), label
+        # Serving the stand-ins never disturbed the resident tile's memo.
+        assert protocol_module.TilePayload.from_tile(resident, binary=True) is memo
+        assert _binary_frame(memo) == resident_frame
+
+
+# ----------------------------------------------------------------------
 # shared hotspot registry invariants
 # ----------------------------------------------------------------------
 # Exactness discipline: weights are small integers, decay is 0.5, and
