@@ -74,6 +74,7 @@ from repro.middleware.protocol import (
     encode_wire,
     negotiate_payload,
     negotiate_version,
+    priced_frame_bytes,
 )
 from repro.middleware.push import PUSH_MODEL, PushCache, PushScheduler
 from repro.middleware.service import TileResponse
@@ -267,6 +268,13 @@ class ForeCacheSocketServer:
                 progressive=policy.fidelity_enabled,
                 reduction=policy.fidelity_reduction,
             )
+        #: Wire length of each push payload this server has built, by
+        #: ``(tile key, fidelity, payload encoding)``.  Pyramid tiles
+        #: never change and downsampling and deflate are deterministic,
+        #: so the length is fixed per key; a round prices a known job
+        #: from it and builds only the frames it streams.  Ints only, at
+        #: most 2 fidelities x 2 encodings x the pyramid's tile count.
+        self._push_payload_bytes: dict[tuple[TileKey, float, str], int] = {}
         #: Wall-clock registry decay (``hotspot_tick_seconds``), started
         #: with the server when configured.
         self.hotspot_ticker: HotspotDecayTicker | None = None
@@ -444,8 +452,8 @@ class ForeCacheSocketServer:
 
     def _encode_out(self, message, conn: _ConnectionState) -> bytes:
         """Encode one outgoing message (or pass through pre-encoded
-        bytes — push frames are encoded once, where their byte size is
-        charged against the push budget)."""
+        bytes — push frames arrive built by the push round that priced
+        them)."""
         if isinstance(message, bytes):
             return message
         framing = self._wire_framing(conn)
@@ -670,12 +678,16 @@ class ForeCacheSocketServer:
         latest prediction list, then stream jobs until the fair-share
         byte budget or the in-flight cap stops the round.
 
-        Returns the push frames *pre-encoded* in the connection's
-        negotiated encoding: each frame is encoded exactly once — here,
-        where its true wire size is charged against the push budget —
-        and the serve loop passes the bytes through.  On binary
-        connections a tile costs a fraction of its JSON size, so the
-        same byte budget streams proportionally more tiles per round.
+        Each job is priced, then committed, then built.  A job whose
+        payload length is known from an earlier build is priced from
+        its payload-free header alone; only a frame the round will
+        stream is downsampled and encoded.  A job never built before is
+        built first, and its payload length recorded.  The price is the
+        exact wire length in the connection's negotiated encoding (on
+        binary connections a fraction of the JSON size, so the same
+        byte budget streams proportionally more tiles per round), and
+        the returned frames are pre-encoded: the serve loop passes the
+        bytes through.
         """
         scheduler = self.push_scheduler
         assert scheduler is not None
@@ -690,40 +702,63 @@ class ForeCacheSocketServer:
         generation = scheduler.generation(session_id)
         while (job := scheduler.next_job(session_id)) is not None:
             try:
+                # Loaded even when the frame is never built: the load
+                # is what warms the shared cache under the push label.
                 tile = await self.service.load_tile(job.key, PUSH_MODEL)
             except Exception:
                 scheduler.reject(job)
                 continue
-            if job.fidelity < 1.0:
-                # Coarse frame: block-averaged payload, a fraction of
-                # the full tile's wire bytes.  The refinement job queued
-                # behind it re-streams the tile at full resolution.
-                tile = downsample_tile(tile, scheduler.reduction)
             push = PushTile(
                 session_id=session_id,
                 tile=TileRef.from_key(job.key),
                 rank=job.rank,
                 generation=generation,
                 utility=job.utility,
-                payload=TilePayload.from_tile(tile, binary=binary),
                 fidelity=job.fidelity,
             )
+            memo = (job.key, job.fidelity, conn.payload)
+            frame = None
             try:
-                frame = encode_wire(push, framing, self.max_frame_bytes)
+                if memo not in self._push_payload_bytes:
+                    frame = self._build_push(push, tile, framing, binary)
+                    self._push_payload_bytes[memo] = len(
+                        frame
+                    ) - priced_frame_bytes(push, 0, framing)
+                size = priced_frame_bytes(
+                    push,
+                    self._push_payload_bytes[memo],
+                    framing,
+                    self.max_frame_bytes,
+                )
             except FrameTooLargeError:
                 # This tile can never fit a frame; skip it without
                 # charging the round's budget.
                 scheduler.reject(job)
                 continue
-            if scheduler.skip_oversize(job, len(frame)):
-                # Larger than a whole fair share: no future round could
-                # stream it either — drop it for good instead of
-                # re-queueing it forever.
+            if scheduler.skip_oversize(job, size):
+                # Larger than a whole fair share: skip it this round.
+                # The next round re-queues it while it stays predicted,
+                # and skips it again unless the share has grown.
                 continue
-            if not scheduler.commit(job, len(frame)):
+            if not scheduler.commit(job, size):
                 break  # round budget spent
+            if frame is None:
+                frame = self._build_push(push, tile, framing, binary)
             messages.append(frame)
         return messages
+
+    def _build_push(
+        self, push: PushTile, tile, framing: str, binary: bool
+    ) -> bytes:
+        """Encode one push frame, carrying ``tile`` at the job's
+        fidelity."""
+        if push.fidelity < 1.0:
+            # Coarse frame: block-averaged payload, a fraction of the
+            # full tile's wire bytes.  The refinement job queued behind
+            # it re-streams the tile at full resolution.
+            tile = downsample_tile(tile, self.push_scheduler.reduction)
+        push = replace(push, payload=TilePayload.from_tile(tile, binary=binary))
+        return encode_wire(push, framing, self.max_frame_bytes)
 
     async def _close_sessions(self, sessions: set[str]) -> None:
         """Drop the sessions a finished connection leaves behind."""

@@ -1058,6 +1058,43 @@ def encode_binary_message(message) -> bytes:
     return b"".join((_LENGTH_HEADER.pack(len(header)), header, packed.blob))
 
 
+def priced_frame_bytes(
+    message,
+    payload_bytes: int,
+    framing: str,
+    max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
+) -> int:
+    """The length :func:`encode_wire` would give ``message`` carrying a
+    payload whose wire form is ``payload_bytes`` long — without building
+    that payload.
+
+    ``message`` is a payload-bearing message type with its payload left
+    None.  A payload's wire form is its descriptor text plus blob under
+    ``"binary"`` framing and its JSON text under the JSON framings; both
+    take the place of the ``null`` in the message's own tagged JSON
+    (ASCII, so characters are bytes).  Raises
+    :class:`FrameTooLargeError` exactly when :func:`encode_wire` would.
+    """
+    if _TYPE_NAMES.get(type(message)) not in _BINARY_MESSAGE_NAMES:
+        raise TypeError(f"{type(message).__name__} carries no payload")
+    if message.payload is not None:
+        raise TypeError("price the payload-free message")
+    body = len(encode(message)) - len("null") + payload_bytes
+    if framing == "binary":
+        body += _LENGTH_HEADER.size
+    elif framing not in FRAMINGS:
+        raise ValueError(f"unknown framing {framing!r}")
+    if body > max_frame_bytes:
+        raise FrameTooLargeError(
+            f"frame of {body} bytes exceeds the {max_frame_bytes}-byte limit"
+        )
+    if framing == "binary":
+        return _BINARY_FRAME_HEADER.size + body
+    if framing == "lines":
+        return body + 1
+    return _LENGTH_HEADER.size + body
+
+
 def _parse_attribute_specs(attrs) -> tuple[list, int]:
     """Validate descriptor attribute entries; return specs and blob size."""
     if not isinstance(attrs, list):

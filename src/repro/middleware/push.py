@@ -119,15 +119,17 @@ class PushScheduler:
     ``budget_bytes // live_sessions`` bytes to its session (fair share
     of the downstream pipe), and a session may never have more than
     ``max_inflight`` pushed-but-unacked tiles outstanding.  The caller
-    drives the loop::
+    drives the loop — price, then commit, then build::
 
         scheduler.acknowledge(sid, digest)         # from the request
         scheduler.begin_round(sid, predictions)    # new generation
         while (job := scheduler.next_job(sid)) is not None:
-            frame = ...load + encode...
-            if not scheduler.commit(job, len(frame)):
+            size = ...the frame's exact wire length...
+            if scheduler.skip_oversize(job, size):
+                continue                           # over a whole share
+            if not scheduler.commit(job, size):
                 break                              # round budget spent
-            ...stream frame...
+            ...build and stream the frame...
 
     Everything is synchronous and deterministic — same inputs, same
     pushes, regardless of how connections interleave between calls.
@@ -370,7 +372,7 @@ class PushScheduler:
         return state.queued.pop(0)
 
     def commit(self, job: PushJob, frame_bytes: int) -> bool:
-        """Account one encoded push frame against the round's budget.
+        """Account one priced push frame against the round's budget.
 
         Returns True when the frame fits the session's fair share (the
         caller streams it; the tile becomes in-flight), False when the
@@ -378,10 +380,11 @@ class PushScheduler:
         counted as deferred — the *next* round will re-rank the tile if
         the model still wants it).
 
-        ``frame_bytes`` is the size of the frame *as encoded for this
-        connection* — on a negotiated-binary connection push frames are
-        several times smaller than their JSON form, so the same byte
-        budget streams proportionally more tiles per round.
+        ``frame_bytes`` is the exact size of the frame *as encoded for
+        this connection*, known before the frame is built — on a
+        negotiated-binary connection push frames are several times
+        smaller than their JSON form, so the same byte budget streams
+        proportionally more tiles per round.
 
         The budget charged is the allowance *snapshotted* when the
         round began: a session opening or closing mid-round changes the
@@ -421,11 +424,14 @@ class PushScheduler:
     def skip_oversize(self, job: PushJob, frame_bytes: int) -> bool:
         """True when this frame exceeds the round's *whole* allowance.
 
-        Such a job could never pass :meth:`commit` — not this round, not
-        any round at this session count — so re-queueing it as deferred
-        would make it clog the head of every future round.  The caller
-        should skip it (dropping it for good) and move on to the next
-        job, which may well fit.
+        Such a job cannot pass :meth:`commit` this round, and treating
+        it as deferred would end the round on a frame that never fits.
+        The caller should skip it and move on to the next job, which
+        may well fit.  The skip is per round: :meth:`begin_round`
+        re-queues the tile every round it stays predicted, and it is
+        skipped (and counted) again until the fair share grows past
+        it.  Callers price the frame first, so a skipped frame is never
+        built once its size is known.
         """
         state = self._sessions.get(job.session_id)
         if state is None:

@@ -1,5 +1,8 @@
 """Property-based tests (hypothesis) on core invariants."""
 
+import json
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -590,6 +593,114 @@ class TestEncodeOnceProperties:
         # Serving the stand-ins never disturbed the resident tile's memo.
         assert protocol_module.TilePayload.from_tile(resident, binary=True) is memo
         assert _binary_frame(memo) == resident_frame
+
+
+# ----------------------------------------------------------------------
+# priced push frames
+# ----------------------------------------------------------------------
+#: Bytes each framing adds around a frame's body.
+_FRAME_ENVELOPE = {"lines": 1, "length": 4, "binary": 5}
+
+
+def _payload_wire_bytes(payload, framing: str) -> int:
+    """A payload's wire length, measured from its own serialization:
+    descriptor text plus blob in binary framing, JSON text otherwise."""
+    if framing == "binary":
+        packed = payload.packed
+        return len(packed.descriptor.encode("utf-8")) + len(packed.blob)
+    return len(json.dumps(payload.to_dict()).encode("utf-8"))
+
+
+def _raises_too_large(call) -> bool:
+    try:
+        call()
+    except protocol_module.FrameTooLargeError:
+        return True
+    return False
+
+
+class TestPricedPushFrames:
+    """A push frame priced from its payload-free header and the
+    payload's wire length is exactly as long as the frame built in
+    full, and the frame limit refuses both at the same byte."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        tile=data_tiles(),
+        coarse=st.booleans(),
+        rank=st.integers(0, 2**40),
+        generation=st.integers(0, 2**40),
+        utility=st.floats(),
+        session_id=st.text(min_size=1, max_size=12),
+        framing=st.sampled_from(["lines", "length", "binary"]),
+        binary_payload=st.booleans(),
+    )
+    def test_priced_length_equals_built_length(
+        self,
+        tile,
+        coarse,
+        rank,
+        generation,
+        utility,
+        session_id,
+        framing,
+        binary_payload,
+    ):
+        from repro.tiles.reduce import downsample_tile
+
+        fidelity = 1.0
+        if coarse:
+            tile, fidelity = downsample_tile(tile, 2), 0.5
+        payload = protocol_module.TilePayload.from_tile(
+            tile, binary=binary_payload
+        )
+        bare = protocol_module.PushTile(
+            session_id=session_id,
+            tile=protocol_module.TileRef.from_key(tile.key),
+            rank=rank,
+            generation=generation,
+            utility=utility,
+            fidelity=fidelity,
+        )
+        frame = protocol_module.encode_wire(
+            replace(bare, payload=payload), framing
+        )
+        payload_bytes = _payload_wire_bytes(payload, framing)
+        assert protocol_module.priced_frame_bytes(
+            bare, payload_bytes, framing
+        ) == len(frame)
+        body = len(frame) - _FRAME_ENVELOPE[framing]
+        for limit in (body - 1, body):
+            built = _raises_too_large(
+                lambda: protocol_module.encode_wire(
+                    replace(bare, payload=payload), framing, limit
+                )
+            )
+            priced = _raises_too_large(
+                lambda: protocol_module.priced_frame_bytes(
+                    bare, payload_bytes, framing, limit
+                )
+            )
+            assert built == priced == (limit < body)
+
+    def test_only_payload_free_payload_messages_are_priced(self):
+        ref = protocol_module.TileRef(0, 0, 0)
+        request = protocol_module.TileRequest(session_id="s", tile=ref)
+        with pytest.raises(TypeError):
+            protocol_module.priced_frame_bytes(request, 10, "binary")
+        tile = DataTile(
+            key=TileKey(0, 0, 0), attributes={"avg": np.zeros((2, 2))}
+        )
+        carrying = protocol_module.PushTile(
+            session_id="s",
+            tile=ref,
+            rank=0,
+            generation=1,
+            utility=1.0,
+            payload=protocol_module.TilePayload.from_tile(tile),
+        )
+        with pytest.raises(TypeError):
+            protocol_module.priced_frame_bytes(carrying, 10, "lines")
 
 
 # ----------------------------------------------------------------------

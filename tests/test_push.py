@@ -16,7 +16,9 @@ never misparies request/reply.
 from __future__ import annotations
 
 import asyncio
+import struct
 import time
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -25,7 +27,8 @@ from hypothesis import strategies as st
 from repro.core.allocation import SingleModelStrategy
 from repro.core.engine import PredictionEngine
 from repro.core.popularity import SharedHotspotRegistry
-from repro.middleware import protocol
+from repro.middleware import net, protocol
+from repro.middleware.cluster import ThreadedClusterServer
 from repro.middleware.config import CacheConfig, PrefetchPolicy, ServiceConfig
 from repro.middleware.net import (
     AsyncSocketTransport,
@@ -44,7 +47,7 @@ from repro.middleware.protocol import (
     Welcome,
     encode_frame,
 )
-from repro.middleware.push import PushCache, PushScheduler
+from repro.middleware.push import PUSH_MODEL, PushCache, PushScheduler
 from repro.recommenders.hotspot import HotspotRecommender
 from repro.recommenders.momentum import MomentumRecommender
 from repro.tiles.key import TileKey
@@ -966,3 +969,379 @@ def test_interleaved_push_and_reply_frames_decode_in_order(
         assert reply.session_id == f"reply-{expected_pushes}"
     else:
         assert reply is None
+
+
+# ----------------------------------------------------------------------
+# price before build: a round builds only the frames it streams
+# ----------------------------------------------------------------------
+def wire_frames(received: bytes, payload: str) -> list[bytes]:
+    """Cut a client's received stream into frames.  The welcome always
+    arrives as a JSON line; a binary client's stream switches to binary
+    framing right after it."""
+    welcome, _, rest = received.partition(b"\n")
+    frames = [welcome + b"\n"]
+    if payload == "json":
+        return frames + [line + b"\n" for line in rest.split(b"\n")[:-1]]
+    while rest:
+        _, length = struct.unpack_from(">BI", rest)
+        frames.append(rest[: 5 + length])
+        rest = rest[5 + length :]
+    return frames
+
+
+def push_frames(received: bytes, payload: str) -> list[tuple[PushTile, bytes]]:
+    """Every ``push_tile`` frame in a received stream, decoded and raw."""
+    pushes = []
+    for frame in wire_frames(received, payload):
+        if frame[:1] in (b"\x00", b"\x01"):
+            message = protocol.decode_wire(
+                frame[5:] if frame[:1] == b"\x01" else frame[5:].decode()
+            )
+        else:
+            message = protocol.decode(frame.decode())
+        if isinstance(message, PushTile):
+            pushes.append((message, frame))
+    return pushes
+
+
+def build_first_push_messages(server):
+    """The push round as it ran before pricing: every job's frame is
+    downsampled and encoded, then its length is charged.  The oracle
+    the priced round must match frame for frame and counter for
+    counter."""
+
+    async def push_messages(session_id, conn):
+        scheduler = server.push_scheduler
+        framing = server._wire_framing(conn)
+        binary = conn.payload == "binary"
+        messages = []
+        try:
+            pending = await server.service.pending_predictions(session_id)
+        except Exception:
+            return messages
+        scheduler.begin_round(session_id, pending)
+        generation = scheduler.generation(session_id)
+        while (job := scheduler.next_job(session_id)) is not None:
+            try:
+                tile = await server.service.load_tile(job.key, PUSH_MODEL)
+            except Exception:
+                scheduler.reject(job)
+                continue
+            if job.fidelity < 1.0:
+                tile = net.downsample_tile(tile, scheduler.reduction)
+            push = PushTile(
+                session_id=session_id,
+                tile=TileRef.from_key(job.key),
+                rank=job.rank,
+                generation=generation,
+                utility=job.utility,
+                payload=TilePayload.from_tile(tile, binary=binary),
+                fidelity=job.fidelity,
+            )
+            try:
+                frame = net.encode_wire(push, framing, server.max_frame_bytes)
+            except protocol.FrameTooLargeError:
+                scheduler.reject(job)
+                continue
+            if scheduler.skip_oversize(job, len(frame)):
+                continue
+            if not scheduler.commit(job, len(frame)):
+                break
+            messages.append(frame)
+        return messages
+
+    return push_messages
+
+
+class BuildLog:
+    """Attributes frame-building work — downsampling, payload packing,
+    frame encoding — to the push job whose fate is being decided when
+    the work happens."""
+
+    def __init__(self, monkeypatch) -> None:
+        self.reset()
+        for module, name in (
+            (protocol, "_pack_payload"),
+            (net, "downsample_tile"),
+            (net, "encode_wire"),
+        ):
+            monkeypatch.setattr(module, name, self._counting(getattr(module, name)))
+
+    def reset(self) -> None:
+        self.job = None
+        self.work = 0
+        #: (key, fidelity) of every job a round has priced.
+        self.seen: set = set()
+        #: Jobs priced before that a round then skipped or stopped on.
+        self.revisited_drops = 0
+        #: Build calls made for those jobs.
+        self.wasted_builds = 0
+
+    def _counting(self, original):
+        def call(*args, **kwargs):
+            if self.job is not None:
+                self.work += 1
+            return original(*args, **kwargs)
+
+        return call
+
+    def _decided(self, job, dropped: bool) -> None:
+        seen = (job.key, job.fidelity)
+        if dropped and seen in self.seen:
+            self.revisited_drops += 1
+            self.wasted_builds += self.work
+        self.seen.add(seen)
+        self.job = None
+
+    def attach(self, monkeypatch, scheduler) -> None:
+        next_job = scheduler.next_job
+        skip_oversize = scheduler.skip_oversize
+        commit = scheduler.commit
+        reject = scheduler.reject
+
+        def next_job_(session_id):
+            self.job, self.work = next_job(session_id), 0
+            return self.job
+
+        def skip_oversize_(job, size):
+            skipped = skip_oversize(job, size)
+            if skipped:
+                self._decided(job, dropped=True)
+            return skipped
+
+        def commit_(job, size):
+            sent = commit(job, size)
+            self._decided(job, dropped=not sent)
+            return sent
+
+        def reject_(job):
+            reject(job)
+            self.job = None
+
+        monkeypatch.setattr(scheduler, "next_job", next_job_)
+        monkeypatch.setattr(scheduler, "skip_oversize", skip_oversize_)
+        monkeypatch.setattr(scheduler, "commit", commit_)
+        monkeypatch.setattr(scheduler, "reject", reject_)
+
+
+#: Back-and-forth pans: every tile is predicted, pushed, evicted from
+#: the client's two-slot push cache, and predicted again.
+REVISIT_MOVES = [Move.PAN_RIGHT, Move.PAN_RIGHT, Move.PAN_LEFT, Move.PAN_LEFT] * 3 + [
+    Move.PAN_DOWN,
+    Move.PAN_UP,
+] * 2
+
+
+def priced_config(payload: str) -> ServiceConfig:
+    """Progressive push whose fair share never holds a full-fidelity
+    frame (about 8.5 KB binary, 71 KB JSON in the small world): alone,
+    a session's share holds every coarse frame of a round; once a
+    second session halves it, a round ends on a coarse frame.  A
+    one-slot server cache makes pushed tiles reload."""
+    return ServiceConfig(
+        prefetch=PrefetchPolicy(
+            k=4,
+            push="on",
+            fidelity="progressive",
+            push_budget_bytes=8000 if payload == "binary" else 24000,
+        ),
+        cache=CacheConfig(recent_capacity=1, prefetch_capacity=1),
+    )
+
+
+class TestPricedPushRounds:
+    def run_walk(self, dataset, monkeypatch, log, payload, *, oracle):
+        pyramid = dataset.pyramid
+        with ThreadedSocketServer(
+            pyramid,
+            priced_config(payload),
+            engine_factory=engine_factory(pyramid),
+        ) as server:
+            inner = server.server
+            if oracle:
+                monkeypatch.setattr(
+                    inner, "_push_messages", build_first_push_messages(inner)
+                )
+            log.reset()
+            log.attach(monkeypatch, inner.push_scheduler)
+            with SocketTransport(
+                *server.address,
+                pyramid=pyramid,
+                push=True,
+                push_cache_capacity=2,
+                payload=payload,
+                wire_tap=True,
+            ) as transport:
+                walk_a = push_walk(TileKey(3, 2, 2), REVISIT_MOVES)
+                walk_b = push_walk(TileKey(3, 5, 5), REVISIT_MOVES)
+                a = transport.connect(session_id="a")
+                for move, k in walk_a[:8]:
+                    assert a.handle_request(move, k).tile.key == k
+                b = transport.connect(session_id="b")
+                for (move_a, key_a), (move_b, key_b) in zip(walk_a[8:], walk_b):
+                    assert a.handle_request(move_a, key_a).tile.key == key_a
+                    assert b.handle_request(move_b, key_b).tile.key == key_b
+                a.close()
+                b.close()
+                received = bytes(transport.wire_received)
+            return received, inner.push_scheduler.stats()
+
+    @pytest.mark.parametrize("payload", ["json", "binary"])
+    def test_priced_round_matches_the_build_first_oracle(
+        self, small_dataset, monkeypatch, payload
+    ):
+        log = BuildLog(monkeypatch)
+        expected, expected_stats = self.run_walk(
+            small_dataset, monkeypatch, log, payload, oracle=True
+        )
+        oracle_waste = log.wasted_builds
+        received, stats = self.run_walk(
+            small_dataset, monkeypatch, log, payload, oracle=False
+        )
+        # The scenario exercises what pricing changes: full frames
+        # larger than the whole share, rounds that end on a frame, and
+        # both for jobs whose frame was built in an earlier round.
+        assert stats["skipped_oversize"] > 0
+        assert stats["deferred_jobs"] > 0
+        assert stats["coarse_tiles"] > 0
+        assert log.revisited_drops > 0
+        # Same push frames, byte for byte, and the same counters.
+        assert [frame for _, frame in push_frames(received, payload)] == [
+            frame for _, frame in push_frames(expected, payload)
+        ]
+        assert stats == expected_stats
+        assert received == expected
+        # The oracle built those dropped frames; the priced round never
+        # builds a frame it has priced before and then drops.
+        assert oracle_waste > 0
+        assert log.wasted_builds == 0
+
+
+# ----------------------------------------------------------------------
+# accounting: pushed bytes never exceed the budget
+# ----------------------------------------------------------------------
+ACCOUNTING_CONFIG = ServiceConfig(
+    prefetch=PrefetchPolicy(
+        k=4, push="on", fidelity="progressive", push_budget_bytes=12 * 1024
+    ),
+    cache=CacheConfig(recent_capacity=4, prefetch_capacity=8),
+)
+
+
+def record_rounds(monkeypatch, server) -> list[tuple]:
+    """Record each push round a server runs: ``(session, generation,
+    allowance snapshot, committed bytes, bytes of the frames built)``."""
+    rounds: list[tuple] = []
+    original = server._push_messages
+
+    async def push_messages(session_id, conn):
+        frames = await original(session_id, conn)
+        scheduler = server.push_scheduler
+        state = scheduler._sessions.get(session_id)
+        if state is not None:
+            rounds.append(
+                (
+                    session_id,
+                    state.generation,
+                    state.allowance,
+                    state.round_bytes,
+                    sum(len(frame) for frame in frames),
+                )
+            )
+        return frames
+
+    monkeypatch.setattr(server, "_push_messages", push_messages)
+    return rounds
+
+
+def drive_two_sessions(address, pyramid) -> bytes:
+    """One binary push connection: session a browses alone, b joins
+    (halving the fair share), both browse, a leaves, b browses on."""
+    walk_a = push_walk(TileKey(3, 0, 1), [Move.PAN_RIGHT] * 6)
+    walk_b = push_walk(TileKey(3, 4, 2), [Move.PAN_DOWN] * 5)
+    with SocketTransport(
+        *address,
+        pyramid=pyramid,
+        push=True,
+        payload="binary",
+        wire_tap=True,
+    ) as transport:
+        a = transport.connect(session_id="a")
+        for move, k in walk_a[:3]:
+            a.handle_request(move, k)
+        b = transport.connect(session_id="b")
+        for (move_a, key_a), (move_b, key_b) in zip(walk_a[3:], walk_b):
+            a.handle_request(move_a, key_a)
+            b.handle_request(move_b, key_b)
+        a.close()
+        for move, k in walk_b[len(walk_a) - 3 :]:
+            b.handle_request(move, k)
+        b.close()
+        return bytes(transport.wire_received)
+
+
+def assert_rounds_within_allowance(rounds) -> None:
+    assert rounds
+    for _, _, allowance, committed, built in rounds:
+        assert committed == built <= allowance
+
+
+class TestPushAccounting:
+    """Pushed bytes ≤ budget × rounds, checked round by round: every
+    round's committed bytes fit the allowance snapshotted when it
+    began, and ``pushed_bytes`` is exactly the push bytes a client
+    receives."""
+
+    def test_socket_server(self, small_dataset, monkeypatch):
+        pyramid = small_dataset.pyramid
+        with ThreadedSocketServer(
+            pyramid,
+            ACCOUNTING_CONFIG,
+            engine_factory=engine_factory(pyramid),
+        ) as server:
+            rounds = record_rounds(monkeypatch, server.server)
+            received = drive_two_sessions(server.address, pyramid)
+            stats = server.server.push_scheduler.stats()
+        assert_rounds_within_allowance(rounds)
+        # Two allowances were in force: the whole budget, then half.
+        assert {allowance for _, _, allowance, _, _ in rounds} == {
+            12 * 1024,
+            6 * 1024,
+        }
+        pushes = push_frames(received, "binary")
+        on_wire: Counter = Counter()
+        for message, frame in pushes:
+            on_wire[(message.session_id, message.generation)] += len(frame)
+        assert on_wire == {
+            (session, generation): built
+            for session, generation, _, _, built in rounds
+            if built
+        }
+        assert stats["pushed_bytes"] == sum(len(f) for _, f in pushes)
+        assert stats["skipped_oversize"] > 0
+
+    def test_two_worker_cluster(self, small_dataset, monkeypatch):
+        pyramid = small_dataset.pyramid
+        with ThreadedClusterServer(
+            pyramid,
+            ACCOUNTING_CONFIG,
+            workers=2,
+            engine_factory=engine_factory(pyramid),
+        ) as cluster:
+            rounds = [
+                record_rounds(monkeypatch, worker.server)
+                for worker in cluster.workers
+            ]
+            received = drive_two_sessions(cluster.address, pyramid)
+            pushed = [
+                worker.server.push_scheduler.pushed_bytes
+                for worker in cluster.workers
+            ]
+        for worker_rounds in rounds:
+            assert_rounds_within_allowance(worker_rounds)
+        pushes = push_frames(received, "binary")
+        assert pushes
+        assert sum(pushed) == sum(len(frame) for _, frame in pushes)
+        assert sum(pushed) == sum(
+            built for worker_rounds in rounds for *_, built in worker_rounds
+        )
